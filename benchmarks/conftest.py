@@ -2,8 +2,11 @@
 
 Datasets are built once per session -- served from the persistent
 workload cache (``repro.bench.cache``) and memoised per process -- and
-shared by every figure benchmark; hardware is the scaled device/CPU pair
-described in DESIGN.md.
+shared by every figure benchmark; their alignment profiles are primed
+once through :func:`repro.kernels.prime_profiles`, so figures that time
+the CPU anchor before any kernel never fall back to per-task scalar
+profiles.  Hardware is the scaled device/CPU pair described in
+DESIGN.md.
 
 ``repro`` comes from the installed package, ``PYTHONPATH`` or the
 repository-root ``conftest.py``; ``bench_utils`` is importable because
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.kernels import prime_profiles
 from repro.pipeline.experiment import (
     all_dataset_names,
     dataset_tasks,
@@ -30,13 +34,21 @@ def hardware():
     return scaled_hardware()
 
 
+def _primed_datasets(names):
+    """Mapping of dataset name -> tuple of alignment tasks, profiles primed."""
+    datasets = {name: dataset_tasks(name) for name in names}
+    for tasks in datasets.values():
+        prime_profiles(tasks)
+    return datasets
+
+
 @pytest.fixture(scope="session")
 def all_datasets():
     """Mapping of dataset name -> tuple of alignment tasks (all nine)."""
-    return {name: dataset_tasks(name) for name in all_dataset_names()}
+    return _primed_datasets(all_dataset_names())
 
 
 @pytest.fixture(scope="session")
 def representative_datasets():
     """One dataset per sequencing technology."""
-    return {name: dataset_tasks(name) for name in REPRESENTATIVE_DATASETS}
+    return _primed_datasets(REPRESENTATIVE_DATASETS)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.baselines.aligner import BwaMemCpuAligner
 from repro.io.datasets import DATASET_REGISTRY, build_dataset
-from repro.kernels import AgathaKernel, SALoBaKernel
+from repro.kernels import AgathaKernel, SALoBaKernel, prime_profiles
 from repro.pipeline.experiment import geometric_mean
 from repro.align.scoring import preset
 
@@ -38,6 +38,7 @@ def test_fig16_bwamem(benchmark, hardware):
         table = {}
         for name in REPRESENTATIVE_DATASETS:
             tasks = bwa_tasks(name)
+            prime_profiles(tasks)
             cpu_ms = BwaMemCpuAligner(cpu).time_ms(tasks)
             saloba = SALoBaKernel(target="mm2").simulate(tasks, device).time_ms
             agatha = AgathaKernel().simulate(tasks, device).time_ms

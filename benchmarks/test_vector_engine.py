@@ -26,11 +26,6 @@ from repro.pipeline.experiment import dataset_tasks
 
 from bench_utils import REPRESENTATIVE_DATASETS, print_figure, save_record
 
-pytest.importorskip(
-    "repro.align.vector",
-    reason="the vector engine needs NumPy (the [vector] extra)",
-)
-
 #: Required total speedup of the vector engine over the pure-Python
 #: batch engine on the fig08 representative workload.  Measured runs
 #: land at 5.3-7.5x; the hard pin sits below the machine-noise floor so

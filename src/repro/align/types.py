@@ -82,8 +82,9 @@ class AlignmentResult:
 
 @dataclass
 class AlignmentProfile:
-    """Per-anti-diagonal view of one alignment, produced by the vectorised
-    engine (:func:`repro.align.antidiagonal.antidiagonal_align`).
+    """Per-anti-diagonal view of one alignment, produced bit-identically by
+    the scalar engine (:func:`repro.align.antidiagonal.antidiagonal_align`)
+    or a batch engine's ``return_profiles`` path.
 
     Attributes
     ----------
@@ -183,10 +184,14 @@ class AlignmentTask:
     def profile(self, force: bool = False) -> AlignmentProfile:
         """Compute (and cache) the alignment profile of this task.
 
-        The profile is produced by the vectorised anti-diagonal engine with
-        the task's own scoring scheme; every kernel simulation reuses it so
-        the dynamic program runs once per task regardless of how many
-        kernel variants are benchmarked.
+        Every kernel simulation reuses the cached profile, so the dynamic
+        program runs once per task regardless of how many kernel variants
+        are benchmarked.  Hot paths prime the cache for a whole workload
+        in one batched sweep (:func:`repro.kernels.prime_profiles`); this
+        method is the scalar fallback for a task that was not primed and
+        runs the scalar oracle
+        (:func:`repro.align.antidiagonal.antidiagonal_align`) with the
+        task's own scoring scheme.
         """
         if self._profile is None or force:
             # Imported lazily to avoid a circular import at module load.

@@ -48,38 +48,13 @@ completed tasks are compacted out of the buffers at every slice
 boundary.  The ``vector`` engine registered in :mod:`repro.api.engines`
 compacts every :data:`~repro.align.batch.DEFAULT_SLICE_WIDTH`
 anti-diagonals, like ``batch-sliced``.
-
-Optional dependency
--------------------
-NumPy for this engine is an *optional* extra (``pip install
-agatha-repro[vector]``).  Importing this module without NumPy raises
-``ImportError``; :mod:`repro.api.engines` catches it and simply skips
-registration, so a NumPy-less install keeps every other entry point
-working and reports the engine as unavailable by name
-(:func:`repro.api.engines.unavailable_engines`).  Setting the
-environment variable ``REPRO_NO_VECTOR=1`` forces the same ImportError
-path on installs that do have NumPy -- CI uses it to exercise the
-fallback on every PR.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union, overload
 
-if os.environ.get("REPRO_NO_VECTOR"):
-    raise ImportError(
-        "repro.align.vector is disabled (REPRO_NO_VECTOR is set, simulating "
-        "an install without the optional [vector] extra)"
-    )
-
-try:
-    import numpy as np
-except ImportError as exc:  # pragma: no cover - exercised via REPRO_NO_VECTOR
-    raise ImportError(
-        "repro.align.vector requires NumPy; install the optional extra with "
-        "pip install agatha-repro[vector]"
-    ) from exc
+import numpy as np
 
 from repro.align.banding import BandGeometry
 from repro.align.batch import (

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.align.types import AlignmentTask
 from repro.gpusim.trace import KernelLaunchStats
+from repro.kernels.base import prime_profiles
 
 __all__ = [
     "task_workload_antidiagonals",
@@ -26,7 +27,12 @@ __all__ = [
 
 
 def task_workload_antidiagonals(tasks: Sequence[AlignmentTask]) -> np.ndarray:
-    """Per-task workload in processed anti-diagonals (Figure 3b's measure)."""
+    """Per-task workload in processed anti-diagonals (Figure 3b's measure).
+
+    Missing profiles are primed in one batched sweep first
+    (:func:`repro.kernels.prime_profiles`), not one scalar sweep per task.
+    """
+    prime_profiles(tasks)
     return np.asarray(
         [task.profile().antidiagonals_processed for task in tasks], dtype=np.int64
     )

@@ -60,7 +60,6 @@ from repro.api.engines import (
     open_batch,
     register_engine,
     supports_streaming,
-    unavailable_engines,
 )
 from repro.api.suites import (
     ABLATION_LADDER,
@@ -163,7 +162,6 @@ __all__ = [
     "register_engine",
     "get_engine",
     "engine_names",
-    "unavailable_engines",
     "supports_streaming",
     "open_batch",
     "register_kernel",

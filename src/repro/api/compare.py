@@ -2,11 +2,12 @@
 
 This is the logic that used to live in
 ``repro.pipeline.experiment.compare_kernels`` (now a deprecation shim):
-time the CPU anchor once, simulate every kernel of a suite over the same
-workload, and report each launch summary extended with its speedup over
-the CPU.  The sharded bench workers (:func:`repro.bench.runner.run_cell`)
-and :meth:`repro.api.Session.compare` both call this function, so the
-two paths cannot drift apart.
+prime the workload's alignment profiles once, time the CPU anchor once,
+simulate every kernel of a suite over the same workload, and report each
+launch summary extended with its speedup over the CPU.  The sharded
+bench workers (:func:`repro.bench.runner.run_cell`) and
+:meth:`repro.api.Session.compare` both call this function, so the two
+paths cannot drift apart.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.api.results import ComparisonOutcome, CpuSummary, KernelSummary
 from repro.baselines.aligner import CpuAligner, Minimap2CpuAligner
 from repro.baselines.cpu_model import CpuSpec
 from repro.gpusim.device import CostModel, DeviceSpec
-from repro.kernels import GuidedKernel
+from repro.kernels import GuidedKernel, prime_profiles
 
 __all__ = ["compare_suite"]
 
@@ -39,6 +40,9 @@ def compare_suite(
     can be swapped for e.g. :class:`repro.baselines.aligner.BwaMemCpuAligner`.
     The arithmetic is identical to the legacy ``compare_kernels``
     (``ComparisonOutcome.to_dict()`` reproduces its mapping bit for bit).
+    Missing task profiles are primed once, before the anchor, through
+    :func:`repro.kernels.prime_profiles` with the suite's kernel config
+    (that of its first kernel).
 
     Examples
     --------
@@ -65,6 +69,11 @@ def compare_suite(
         device = device or scaled_device
         cpu = cpu or scaled_cpu
     aligner = cpu_aligner if cpu_aligner is not None else Minimap2CpuAligner(cpu)
+    # The one priming point: every profile the anchor and the kernels
+    # read comes from one batched sweep under the suite's kernel config,
+    # never from the per-task scalar fallback of AlignmentTask.profile().
+    config = next(iter(kernels.values())).config if kernels else None
+    prime_profiles(tasks, config)
     cpu_ms = aligner.time_ms(tasks)
     summaries: Dict[str, KernelSummary] = {}
     for name, kernel in kernels.items():

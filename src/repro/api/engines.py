@@ -21,11 +21,9 @@ engines are built in:
     The whole-array NumPy engine (:mod:`repro.align.vector`): panels of
     anti-diagonals precomputed in one shot, shifted-view H/E/F updates,
     sliced compaction like ``batch-sliced`` -- bit-identical to every
-    other engine and several times faster than ``batch``.  Registered
-    only when NumPy is importable: NumPy is the optional ``[vector]``
-    extra, and a NumPy-less install simply lacks the name
-    (:func:`unavailable_engines` reports it, and :func:`get_engine`
-    mentions the extra in its error).
+    other engine and several times faster than ``batch``.  It is also
+    the default engine that primes kernel profiles
+    (``KernelConfig.scoring_engine``).
 
 New backends register under a name and immediately become usable by
 :class:`repro.api.Session`, :class:`repro.pipeline.mapper.LongReadMapper`
@@ -82,6 +80,7 @@ from repro.align.batch import (
 from repro.align.streaming import InFlightBatch, OneShotBatch, SliceStats
 from repro.align.traceback import TracebackResult, batch_traceback
 from repro.align.types import AlignmentResult, AlignmentTask
+from repro.align.vector import DEFAULT_VECTOR_BUCKET_SIZE, VectorStream, vector_align
 from repro.api.registry import Registry
 
 __all__ = [
@@ -94,7 +93,6 @@ __all__ = [
     "register_engine",
     "get_engine",
     "engine_names",
-    "unavailable_engines",
     "supports_streaming",
     "open_batch",
     "align_tasks",
@@ -182,37 +180,13 @@ def register_engine(
 
 
 def get_engine(name: str) -> AlignmentEngine:
-    """Resolve an engine by name (KeyError lists the registered names).
-
-    Asking for an engine that exists but could not be registered because
-    its optional dependency is missing gets a KeyError that says how to
-    install it, not just the list of available names.
-    """
-    try:
-        return ENGINES.get(name)
-    except KeyError:
-        if name in _UNAVAILABLE:
-            raise KeyError(
-                f"engine {name!r} is known but unavailable: {_UNAVAILABLE[name]}"
-            ) from None
-        raise
+    """Resolve an engine by name (KeyError lists the registered names)."""
+    return ENGINES.get(name)
 
 
 def engine_names() -> Tuple[str, ...]:
     """Registered engine names in registration order."""
     return ENGINES.names()
-
-
-def unavailable_engines() -> dict[str, str]:
-    """Known engines that failed to register, mapped to the reason.
-
-    Today this covers exactly the optional-dependency path: on an
-    install without NumPy (the ``[vector]`` extra) the ``"vector"``
-    engine is absent from :func:`engine_names` and shows up here with
-    the ImportError text explaining how to enable it.  Empty when every
-    built-in engine registered.
-    """
-    return dict(_UNAVAILABLE)
 
 
 # ----------------------------------------------------------------------
@@ -275,58 +249,44 @@ def sliced_batch_engine(
     return batch_align(tasks, bucket_size=batch_size, slice_width=slice_width)
 
 
-#: Engines whose registration was skipped, mapped to the reason why.
-_UNAVAILABLE: dict[str, str] = {}
-
-try:
-    from repro.align.vector import (
-        DEFAULT_VECTOR_BUCKET_SIZE,
-        VectorStream,
-        vector_align,
+def _open_vector_batch(
+    tasks: Sequence[AlignmentTask],
+    *,
+    capacity: Optional[int] = None,
+    options: EngineOptions,
+) -> VectorStream:
+    """Streaming factory for ``"vector"``: a refillable VectorStream."""
+    return VectorStream(
+        tasks,
+        capacity=capacity,
+        slice_width=(
+            options.slice_width
+            if options.slice_width is not None
+            else DEFAULT_SLICE_WIDTH
+        ),
     )
-except ImportError as _vector_exc:
-    # NumPy (the optional [vector] extra) is missing: keep the
-    # pure-Python install fully working and report the engine by name.
-    _UNAVAILABLE["vector"] = str(_vector_exc)
-else:
 
-    def _open_vector_batch(
-        tasks: Sequence[AlignmentTask],
-        *,
-        capacity: Optional[int] = None,
-        options: EngineOptions,
-    ) -> "VectorStream":
-        """Streaming factory for ``"vector"``: a refillable VectorStream."""
-        return VectorStream(
-            tasks,
-            capacity=capacity,
-            slice_width=(
-                options.slice_width
-                if options.slice_width is not None
-                else DEFAULT_SLICE_WIDTH
-            ),
-        )
 
-    @register_engine(
-        "vector",
-        option_params=("batch_size", "slice_width"),
-        open_batch=_open_vector_batch,
+@register_engine(
+    "vector",
+    option_params=("batch_size", "slice_width"),
+    open_batch=_open_vector_batch,
+)
+def vector_engine(
+    tasks: Sequence[AlignmentTask],
+    *,
+    batch_size: int = DEFAULT_VECTOR_BUCKET_SIZE,
+    slice_width: int = DEFAULT_SLICE_WIDTH,
+) -> List[AlignmentResult]:
+    """Whole-array NumPy engine; bit-identical to ``"batch"``.
+
+    Same sliced compaction policy as ``"batch-sliced"``, but every
+    anti-diagonal of a bucket is evaluated with whole-array integer
+    ufuncs instead of per-lane Python loops.
+    """
+    return vector_align(
+        tasks, bucket_size=batch_size, slice_width=slice_width
     )
-    def vector_engine(
-        tasks: Sequence[AlignmentTask],
-        *,
-        batch_size: int = DEFAULT_VECTOR_BUCKET_SIZE,
-        slice_width: int = DEFAULT_SLICE_WIDTH,
-    ) -> List[AlignmentResult]:
-        """Whole-array NumPy engine; bit-identical to ``"batch"``.
-
-        Same sliced compaction policy as ``"batch-sliced"``, but every
-        anti-diagonal of a bucket is evaluated with whole-array integer
-        ufuncs instead of per-lane Python loops.
-        """
-        return vector_align(
-            tasks, bucket_size=batch_size, slice_width=slice_width
-        )
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +298,7 @@ def supports_streaming(name: str) -> bool:
     engines served through the one-shot adapter.  Unknown names raise
     the same KeyError as :func:`get_engine`.
     """
-    get_engine(name)  # the name-listing / missing-extra error
+    get_engine(name)  # the name-listing KeyError
     return "open_batch" in ENGINES.meta(name)
 
 

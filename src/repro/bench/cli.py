@@ -25,31 +25,13 @@ from importlib import import_module
 from typing import List, Optional, Sequence, Tuple
 
 from repro.align.batch import ENGINE_SLICE_WIDTHS
-from repro.api.engines import engine_names, unavailable_engines
 from repro.api.suites import suite_names
 from repro.bench.compare import DEFAULT_TOLERANCE, compare_records, format_report
 from repro.bench.records import BenchRecord
 from repro.bench.runner import FIGURES, BenchCell, run_figure
+from repro.kernels import KernelConfig
 
 __all__ = ["main"]
-
-
-def _scoring_engine_choices() -> List[str]:
-    """Batch-capable engines actually registered on this install."""
-    return sorted(set(ENGINE_SLICE_WIDTHS) & set(engine_names()))
-
-
-def _check_scoring_engine(name: str) -> Optional[str]:
-    """An error message when ``name`` cannot prime profiles, else None."""
-    if name in _scoring_engine_choices():
-        return None
-    unavailable = unavailable_engines()
-    if name in unavailable:
-        return f"engine {name!r} is known but unavailable: {unavailable[name]}"
-    return (
-        f"unknown scoring engine {name!r}; "
-        f"choices: {', '.join(_scoring_engine_choices())}"
-    )
 
 
 def _run_parser() -> argparse.ArgumentParser:
@@ -98,15 +80,13 @@ def _run_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scoring-engine",
         metavar="ENGINE",
-        # Validated in _run_main against the live engine registry (not a
-        # hardcoded argparse choices tuple) so the error can explain
-        # *why* a known engine is unavailable on this install.
+        choices=sorted(ENGINE_SLICE_WIDTHS),
         help="batch-capable engine that primes task profiles inside each "
         "cell (KernelConfig.scoring_engine); results and records are "
         "bit-identical either way, batch-sliced skips post-termination "
-        "sweep work and vector (requires the [vector] extra) does the "
-        "same with whole-array NumPy sweeps "
-        f"(choices: {', '.join(_scoring_engine_choices())}; default: batch)",
+        "sweep work and vector does the same with whole-array NumPy sweeps "
+        f"(choices: {', '.join(sorted(ENGINE_SLICE_WIDTHS))}; "
+        f"default: {KernelConfig().scoring_engine})",
     )
     parser.add_argument(
         "--output",
@@ -234,11 +214,6 @@ def _run_main(argv: Sequence[str]) -> int:
 
     config = None
     if args.scoring_engine is not None:
-        problem = _check_scoring_engine(args.scoring_engine)
-        if problem is not None:
-            parser.error(f"argument --scoring-engine: {problem}")
-        from repro.kernels import KernelConfig
-
         config = KernelConfig(scoring_engine=args.scoring_engine)
     record = run_figure(
         args.figure,

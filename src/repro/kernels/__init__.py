@@ -21,7 +21,7 @@ kernel             parallelisation                        guiding
 =================  =====================================  ==========================
 """
 
-from repro.kernels.base import GuidedKernel, KernelConfig
+from repro.kernels.base import GuidedKernel, KernelConfig, prime_profiles
 from repro.kernels.saloba import SALoBaKernel, BaselineExactKernel
 from repro.kernels.gasal2 import Gasal2Kernel
 from repro.kernels.manymap import ManymapKernel
@@ -31,6 +31,7 @@ from repro.kernels.agatha import AgathaKernel
 __all__ = [
     "GuidedKernel",
     "KernelConfig",
+    "prime_profiles",
     "SALoBaKernel",
     "BaselineExactKernel",
     "Gasal2Kernel",

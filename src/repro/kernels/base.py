@@ -32,6 +32,7 @@ from repro.align.batch import (
 )
 from repro.align.blocks import BlockGrid
 from repro.align.types import AlignmentProfile, AlignmentResult, AlignmentTask
+from repro.align.vector import vector_align
 from repro.gpusim.device import CostModel, DeviceSpec, RTX_A6000
 from repro.gpusim.executor import GpuExecutor
 from repro.gpusim.trace import (
@@ -43,7 +44,7 @@ from repro.gpusim.trace import (
 from repro.gpusim.warp import WarpAssignment, split_warp
 from repro.core.uneven_bucketing import assign_tasks_to_warps
 
-__all__ = ["KernelConfig", "GuidedKernel"]
+__all__ = ["KernelConfig", "GuidedKernel", "prime_profiles"]
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,16 @@ class KernelConfig:
         faster on realistic workloads.  Turn off to fall back to the
         per-task scalar path.
     batch_bucket_size:
-        Tasks swept simultaneously by the batch engine.
+        Tasks swept simultaneously by the scoring engine.  This also
+        bounds the engine's buffers, so it caps the priming memory.
     scoring_engine:
         Which batch-capable engine primes the task profiles:
-        ``"batch"`` (the dense sweep) or ``"batch-sliced"`` (sliced
-        early termination with lane compaction; see docs/ENGINES.md).
-        Results are bit-identical either way, so simulated timings never
-        change -- this knob only trades profile-priming wall-clock.
+        ``"vector"`` (the default: whole-array NumPy sweeps with sliced
+        lane compaction), ``"batch"`` (the dense pure-Python sweep) or
+        ``"batch-sliced"`` (sliced compaction in pure Python; see
+        docs/ENGINES.md).  Results are bit-identical either way, so
+        simulated timings never change -- this knob only trades
+        profile-priming wall-clock.
     """
 
     subwarp_size: int = 8
@@ -86,7 +90,7 @@ class KernelConfig:
     tasks_per_subwarp: int = 1
     batched_scoring: bool = True
     batch_bucket_size: int = DEFAULT_BUCKET_SIZE
-    scoring_engine: str = "batch"
+    scoring_engine: str = "vector"
 
     def __post_init__(self) -> None:
         if self.scoring_engine not in ENGINE_SLICE_WIDTHS:
@@ -108,22 +112,50 @@ class KernelConfig:
     def scoring_align(self) -> Callable[..., Any]:
         """The batch-capable align callable behind ``scoring_engine``.
 
+        ``"vector"`` resolves to :func:`repro.align.vector.vector_align`;
         ``"batch"`` and ``"batch-sliced"`` resolve to
-        :func:`repro.align.batch.batch_align`; ``"vector"`` resolves its
-        optional NumPy dependency here, at scoring time, so merely
-        constructing a config never imports NumPy and a NumPy-less
-        install gets the ImportError (with the ``[vector]`` extra hint)
-        only when the engine is actually asked to score.
+        :func:`repro.align.batch.batch_align`.
         """
         if self.scoring_engine == "vector":
-            from repro.align.vector import vector_align
-
             return vector_align
         return batch_align
 
     @property
     def subwarps_per_warp(self) -> int:
         return split_warp(self.subwarp_size)
+
+
+def prime_profiles(
+    tasks: Sequence[AlignmentTask], config: KernelConfig | None = None
+) -> None:
+    """Cache every task's alignment profile in one batched engine call.
+
+    This is the single priming point of the figure path: callers that
+    read profiles (the CPU anchor, kernel simulations, workload
+    analyses) call it first, so no task falls through to the per-task
+    scalar :meth:`AlignmentTask.profile`.  Tasks that already carry a
+    cached profile are left untouched; the rest are swept together by
+    ``config.scoring_align()`` in buckets of ``config.batch_bucket_size``
+    tasks, and the profiles -- bit-identical to the scalar engine's --
+    are cached on the tasks for every later consumer.
+
+    With ``config.batched_scoring`` off this does nothing, and each
+    ``task.profile()`` runs the scalar oracle.
+    """
+    config = config or KernelConfig()
+    if not config.batched_scoring:
+        return
+    missing = [task for task in tasks if task._profile is None]
+    if not missing:
+        return
+    profiles = config.scoring_align()(
+        missing,
+        bucket_size=config.batch_bucket_size,
+        return_profiles=True,
+        slice_width=config.scoring_slice_width,
+    )
+    for task, profile in zip(missing, profiles):
+        task._profile = profile
 
 
 class GuidedKernel:
@@ -150,34 +182,11 @@ class GuidedKernel:
         affects *when* cells are computed, never their values, so this is
         the faithful output of the simulated kernel.  With
         ``config.batched_scoring`` (the default) uncached tasks are scored
-        by the struct-of-arrays batch engine in one sweep per bucket; the
+        by the configured scoring engine in one sweep per bucket; the
         results are bit-identical to the scalar path.
         """
-        self._ensure_profiles(tasks)
+        prime_profiles(tasks, self.config)
         return [task.profile().result for task in tasks]
-
-    def _ensure_profiles(self, tasks: Sequence[AlignmentTask]) -> None:
-        """Prime the per-task profile caches, batched when configured.
-
-        Tasks that already carry a cached profile are left untouched; the
-        remainder is swept by the batch engine and the resulting profiles
-        (bit-identical to the scalar engine's) are cached on the tasks so
-        every later consumer -- scoring, workload accounting, other
-        kernels -- reuses them.
-        """
-        if not self.config.batched_scoring:
-            return  # task.profile() falls back to the scalar engine
-        missing = [task for task in tasks if task._profile is None]
-        if not missing:
-            return
-        profiles = self.config.scoring_align()(
-            missing,
-            bucket_size=self.config.batch_bucket_size,
-            return_profiles=True,
-            slice_width=self.config.scoring_slice_width,
-        )
-        for task, profile in zip(missing, profiles):
-            task._profile = profile
 
     def _batched_scores(
         self, tasks: Sequence[AlignmentTask], termination: str
@@ -260,7 +269,7 @@ class GuidedKernel:
     ) -> KernelLaunchStats:
         """Simulate one launch of this kernel over ``tasks`` on ``device``."""
         cost = cost or CostModel()
-        self._ensure_profiles(tasks)
+        prime_profiles(tasks, self.config)
         profiles = [task.profile() for task in tasks]
         workloads = [
             self.task_workload(task, profile, device, cost)

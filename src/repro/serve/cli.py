@@ -45,21 +45,14 @@ ARRIVAL_PROCESSES = ("poisson", "bursty", "replay")
 
 def _engine_help() -> str:
     """Dynamic --engine help derived from the live registry."""
-    from repro.api.engines import engine_names, supports_streaming, unavailable_engines
+    from repro.api.engines import engine_names, supports_streaming
 
     names = ", ".join(
         f"{name}*" if supports_streaming(name) else name for name in engine_names()
     )
-    missing = unavailable_engines()
-    hint = (
-        "; unavailable here: "
-        + ", ".join(f"{name} ({reason})" for name, reason in missing.items())
-        if missing
-        else ""
-    )
     return (
         f"alignment engine from the repro.api registry (choices: {names}; "
-        f"* streams natively and defaults to continuous refill{hint}; "
+        "* streams natively and defaults to continuous refill; "
         "default: batch)"
     )
 

@@ -19,15 +19,7 @@ from repro.align.scoring import ScoringScheme, preset
 from repro.align.sequence import encode, mutate, random_sequence
 from repro.align.termination import make_termination
 from repro.align.types import AlignmentTask
-
-pytest.importorskip(
-    "repro.align.vector",
-    reason="the vector engine needs NumPy (the [vector] extra)",
-)
-from repro.align.vector import (  # noqa: E402
-    DEFAULT_VECTOR_BUCKET_SIZE,
-    vector_align,
-)
+from repro.align.vector import DEFAULT_VECTOR_BUCKET_SIZE, vector_align
 
 
 def _assert_same(expected, got):

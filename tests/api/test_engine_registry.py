@@ -1,16 +1,8 @@
-"""Engine-registry behaviour, including the optional ``vector`` engine.
+"""Engine-registry behaviour of the built-in ``vector`` engine.
 
-The ``vector`` engine's NumPy dependency is an optional extra: with it,
-the engine registers like any other and flows through every name-keyed
-entry point; without it (simulated by ``REPRO_NO_VECTOR=1`` in a child
-interpreter), the registry skips it cleanly, reports it by name with the
-install hint, and every other engine keeps working.
+NumPy is a base dependency, so ``vector`` registers like any other
+engine and flows through every name-keyed entry point.
 """
-
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -18,7 +10,7 @@ import pytest
 from repro.align.scoring import preset
 from repro.align.sequence import mutate, random_sequence
 from repro.align.types import AlignmentTask
-from repro.api import align_tasks, engine_names, get_engine, unavailable_engines
+from repro.api import align_tasks, engine_names, get_engine
 
 
 def _tasks(n=12, seed=3):
@@ -36,16 +28,11 @@ def _tasks(n=12, seed=3):
     return tasks
 
 
-@pytest.mark.skipif(
-    "vector" not in engine_names(),
-    reason="vector engine unavailable (no-vector leg: REPRO_NO_VECTOR or no NumPy)",
-)
 class TestVectorRegistered:
-    """With NumPy importable (the dev environment), vector is a peer engine."""
+    """vector is a peer engine of the registry."""
 
     def test_vector_is_registered(self):
         assert "vector" in engine_names()
-        assert "vector" not in unavailable_engines()
 
     def test_vector_scores_match_batch(self):
         tasks = _tasks()
@@ -56,70 +43,3 @@ class TestVectorRegistered:
     def test_unknown_engine_error_lists_names(self):
         with pytest.raises(KeyError, match="warp-9"):
             get_engine("warp-9")
-
-
-class TestVectorUnavailable:
-    """Without NumPy (REPRO_NO_VECTOR simulates the missing extra)."""
-
-    @staticmethod
-    def _run_child(code: str) -> str:
-        env = dict(os.environ, REPRO_NO_VECTOR="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p
-        )
-        return subprocess.check_output(
-            [sys.executable, "-c", textwrap.dedent(code)],
-            env=env,
-            text=True,
-            stderr=subprocess.STDOUT,
-        )
-
-    def test_registry_skips_vector_and_reports_it(self):
-        out = self._run_child(
-            """
-            from repro.api import engine_names, unavailable_engines
-            names = engine_names()
-            assert "vector" not in names, names
-            assert "scalar" in names and "batch" in names, names
-            missing = unavailable_engines()
-            assert set(missing) == {"vector"}, missing
-            assert "[vector]" in missing["vector"], missing
-            print("SKIPPED-CLEANLY")
-            """
-        )
-        assert "SKIPPED-CLEANLY" in out
-
-    def test_get_engine_error_mentions_the_extra(self):
-        out = self._run_child(
-            """
-            from repro.api import get_engine
-            try:
-                get_engine("vector")
-            except KeyError as exc:
-                message = str(exc)
-                assert "unavailable" in message, message
-                assert "[vector]" in message, message
-                print("HINTED")
-            else:
-                raise SystemExit("get_engine('vector') should have raised")
-            """
-        )
-        assert "HINTED" in out
-
-    def test_other_engines_still_score(self):
-        out = self._run_child(
-            """
-            from repro.align.scoring import preset
-            from repro.align.sequence import encode
-            from repro.align.types import AlignmentTask
-            from repro.api import align_tasks
-            task = AlignmentTask(
-                ref=encode("ACGTACGT"), query=encode("ACGTACGT"),
-                scoring=preset("figure1"),
-            )
-            scores = [r.score for r in align_tasks([task], engine="batch-sliced")]
-            assert scores == [16], scores
-            print("PURE-PYTHON-OK")
-            """
-        )
-        assert "PURE-PYTHON-OK" in out
