@@ -126,17 +126,34 @@ class BlockGrid:
             return (0, -1)
         return (i_lo // self.block_size, i_hi // self.block_size)
 
+    @cached_property
+    def in_band_col_ranges(self) -> np.ndarray:
+        """Inclusive in-band block-column range of every block row.
+
+        An ``int64`` array of shape ``(num_block_rows, 2)`` holding
+        ``(c_lo, c_hi)`` per row, ``(0, -1)`` on rows with no in-band
+        block: :meth:`in_band_block_cols` for all rows at once, the one
+        source the aggregate counts and both traversal schedules read.
+        """
+        bj = np.arange(self.num_block_rows, dtype=np.int64)
+        j_lo = bj * self.block_size
+        j_hi = np.minimum(self.geometry.query_len - 1, j_lo + self.block_size - 1)
+        i_lo = np.maximum(0, j_lo + self.geometry.diag_lo)
+        i_hi = np.minimum(self.geometry.ref_len - 1, j_hi + self.geometry.diag_hi)
+        empty = i_lo > i_hi
+        ranges = np.empty((self.num_block_rows, 2), dtype=np.int64)
+        ranges[:, 0] = np.where(empty, 0, i_lo // self.block_size)
+        ranges[:, 1] = np.where(empty, -1, i_hi // self.block_size)
+        return ranges
+
     # ------------------------------------------------------------------
     # aggregate counts
     # ------------------------------------------------------------------
     @cached_property
     def blocks_per_row(self) -> np.ndarray:
         """In-band block count per block row (``int64``)."""
-        counts = np.zeros(self.num_block_rows, dtype=np.int64)
-        for bj in range(self.num_block_rows):
-            lo, hi = self.in_band_block_cols(bj)
-            counts[bj] = max(0, hi - lo + 1)
-        return counts
+        ranges = self.in_band_col_ranges
+        return ranges[:, 1] - ranges[:, 0] + 1
 
     @property
     def total_in_band_blocks(self) -> int:
@@ -147,13 +164,17 @@ class BlockGrid:
 
     @cached_property
     def blocks_per_block_antidiagonal(self) -> np.ndarray:
-        """In-band block count per block anti-diagonal ``a = bi + bj``."""
-        counts = np.zeros(max(self.num_block_antidiagonals, 0), dtype=np.int64)
-        for bj in range(self.num_block_rows):
-            lo, hi = self.in_band_block_cols(bj)
-            for bi in range(lo, hi + 1):
-                counts[bi + bj] += 1
-        return counts
+        """In-band block count per block anti-diagonal ``a = bi + bj``.
+
+        Row ``bj`` adds one block to each anti-diagonal of
+        ``[c_lo + bj, c_hi + bj]``: a difference array over those runs.
+        """
+        total = self.num_block_antidiagonals
+        ranges = self.in_band_col_ranges
+        rows = np.flatnonzero(ranges[:, 0] <= ranges[:, 1])
+        starts = np.bincount(ranges[rows, 0] + rows, minlength=total + 1)
+        ends = np.bincount(ranges[rows, 1] + rows + 1, minlength=total + 1)
+        return np.cumsum(starts - ends)[:total]
 
     # ------------------------------------------------------------------
     # completion bookkeeping

@@ -11,6 +11,9 @@ individually-testable algorithms:
     Section 4.2 -- the sliced-diagonal tiling of the banded score table
     that bounds run-ahead execution to ``slice_width x band_width`` and
     shrinks the LMB, plus the horizontal-chunk traversal it generalises.
+    Both compute a task's per-slice work records in one NumPy pass; the
+    block-by-block ``traversal()`` is the specification they are tested
+    against.
 ``subwarp_rejoin``
     Section 4.3 -- slice-boundary work stealing inside a warp.
 ``uneven_bucketing``

@@ -26,6 +26,14 @@ slice boundary, bounding run-ahead to ``slice_width * block_size``
 anti-diagonals (``slice_width x band_width`` cells).  When ``slice_width``
 is at least the band width in blocks the sliced schedule degenerates into
 the baseline -- the generalisation the paper points out.
+
+Both schedules compute their work records per task in one NumPy pass
+over the grid's per-row block-column ranges
+(:attr:`~repro.align.blocks.BlockGrid.in_band_col_ranges`): each block
+row touches a short run of consecutive slices, so the slice table is a
+reduction over (slice, row) pairs, never a slices x rows matrix.
+:meth:`SlicedDiagonalSchedule.traversal` walks the same schedule block by
+block and is its specification.
 """
 
 from __future__ import annotations
@@ -33,12 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+import numpy as np
+
 from repro.align.blocks import BlockGrid
 
 __all__ = [
     "slice_ranges",
     "SliceWork",
-    "ChunkWork",
     "SlicedDiagonalSchedule",
     "HorizontalChunkSchedule",
 ]
@@ -47,12 +56,13 @@ __all__ = [
 def slice_ranges(total: int, slice_width: int) -> List[Tuple[int, int]]:
     """Half-open ``[lo, hi)`` anti-diagonal ranges of every slice.
 
-    The slice geometry shared by both consumers of sliced-diagonal
+    The slice geometry shared by the consumers of sliced-diagonal
     tiling: :class:`SlicedDiagonalSchedule` cuts *block* anti-diagonals
     into slices of ``slice_width`` for the GPU-side simulator, and the
-    batched SIMD engine (:func:`repro.align.batch.batch_align` with
-    ``slice_width=``) cuts *cell* anti-diagonals the same way, compacting
-    terminated tasks out of its buffers at every boundary.  ``total`` is
+    alignment engines (:func:`repro.align.vector.vector_align`, the
+    default, and :func:`repro.align.batch.batch_align` with
+    ``slice_width=``) cut *cell* anti-diagonals the same way, compacting
+    terminated tasks out of their buffers at every boundary.  ``total`` is
     the number of anti-diagonals to cover; the last slice may be short.
     """
     if slice_width <= 0:
@@ -64,19 +74,13 @@ def slice_ranges(total: int, slice_width: int) -> List[Tuple[int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class ChunkWork:
-    """One chunk: ``threads`` block rows processed in lock step."""
-
-    chunk_index: int
-    block_rows: tuple[int, ...]
-    blocks: int
-    steps: int
-
-    @property
-    def idle_block_slots(self) -> int:
-        """Thread-steps spent idle because rows have unequal block counts."""
-        return self.steps * len(self.block_rows) - self.blocks
+def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of ``values`` over consecutive runs of
+    the given lengths (0 for an empty run)."""
+    prefix = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=np.int64)
+    values.cumsum(axis=-1, out=prefix[..., 1:])
+    ends = lengths.cumsum()
+    return prefix[..., ends] - prefix[..., ends - lengths]
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,6 @@ class SliceWork:
     idle_block_slots: int
     chunks: int
     completed_cell_antidiagonals: int
-    window_rows_required: int
 
 
 class SlicedDiagonalSchedule:
@@ -126,87 +129,90 @@ class SlicedDiagonalSchedule:
     def slice_block_antidiag_range(self, slice_index: int) -> tuple[int, int]:
         """Half-open block anti-diagonal range ``[lo, hi)`` of a slice.
 
-        Same geometry as :func:`slice_ranges` (which the batched SIMD
-        engine consumes), kept as per-index arithmetic here because the
-        schedule queries one slice at a time.
+        Same geometry as :func:`slice_ranges`, as per-index arithmetic for
+        :meth:`traversal`, which walks the slices one at a time.
         """
         lo = slice_index * self.slice_width
         hi = min(lo + self.slice_width, self.grid.num_block_antidiagonals)
         return lo, hi
 
     # ------------------------------------------------------------------
-    def _slice_rows(self, slice_index: int) -> dict[int, List[int]]:
-        """Map block row -> in-band block columns of this slice."""
-        lo, hi = self.slice_block_antidiag_range(slice_index)
-        rows: dict[int, List[int]] = {}
-        for bj in range(self.grid.num_block_rows):
-            c_lo, c_hi = self.grid.in_band_block_cols(bj)
-            if c_lo > c_hi:
-                continue
-            cols = [bi for bi in range(c_lo, c_hi + 1) if lo <= bi + bj < hi]
-            if cols:
-                rows[bj] = cols
-        return rows
+    def _slice_table(self, count: int) -> List[SliceWork]:
+        """Work records of the first ``count`` slices, in one pass.
 
-    def slice_chunks(self, slice_index: int) -> List[ChunkWork]:
-        """Chunks (groups of ``threads`` block rows) of one slice."""
-        rows = self._slice_rows(slice_index)
-        if not rows:
-            return []
-        row_ids = sorted(rows)
-        chunks: List[ChunkWork] = []
-        for k in range(0, len(row_ids), self.threads):
-            group = row_ids[k : k + self.threads]
-            blocks = sum(len(rows[bj]) for bj in group)
-            steps = max(len(rows[bj]) for bj in group)
-            chunks.append(
-                ChunkWork(
-                    chunk_index=len(chunks),
-                    block_rows=tuple(group),
-                    blocks=blocks,
-                    steps=steps,
-                )
+        In-band row ``bj`` with columns ``[c_lo, c_hi]`` covers block
+        anti-diagonals ``[c_lo + bj, c_hi + bj]``.  Both ends grow
+        strictly with the row, so the rows meeting slice ``k``'s range
+        ``[k * s, (k + 1) * s)`` are one contiguous run, found by binary
+        search.  Expanding the runs gives one (slice, row) pair per row
+        and slice it touches, in (slice, row) order, with the row's block
+        count there in closed form; a row's rank within its slice names
+        its chunk (``rank // threads``).  The pairs number at most
+        ``rows * (band blocks // s + 2)``: no slices x rows matrix.
+        """
+        s = self.slice_width
+        ranges = self.grid.in_band_col_ranges
+        rows = np.flatnonzero(ranges[:, 0] <= ranges[:, 1])
+        a_lo = ranges[rows, 0] + rows
+        a_hi = ranges[rows, 1] + rows
+
+        slice_lo = np.arange(count) * s
+        first_row = np.searchsorted(a_hi, slice_lo)
+        rows_per_slice = np.searchsorted(a_lo, slice_lo + s) - first_row
+        pair_lo = np.repeat(slice_lo, rows_per_slice)
+        rank = np.arange(pair_lo.size) - np.repeat(
+            np.cumsum(rows_per_slice) - rows_per_slice, rows_per_slice
+        )
+        pair_row = np.repeat(first_row, rows_per_slice) + rank
+        pair_blocks = (
+            np.minimum(a_hi[pair_row], pair_lo + s - 1) - np.maximum(a_lo[pair_row], pair_lo) + 1
+        )
+
+        chunk_start = np.flatnonzero(rank % self.threads == 0)
+        chunk_rows = np.concatenate((chunk_start[1:], [pair_lo.size])) - chunk_start
+        chunk_steps = np.maximum.reduceat(pair_blocks, chunk_start)
+        chunk_blocks = np.add.reduceat(pair_blocks, chunk_start)
+        chunks = -(-rows_per_slice // self.threads)
+        blocks, steps, slots = _run_sums(
+            np.stack((chunk_blocks, chunk_steps, chunk_steps * chunk_rows)), chunks
+        )
+        total = self.grid.num_block_antidiagonals
+        table = np.stack((blocks, steps, slots - blocks, chunks), axis=1).tolist()
+        return [
+            SliceWork(
+                slice_index=k,
+                blocks=slice_blocks,
+                steps=slice_steps,
+                idle_block_slots=slice_idle,
+                chunks=slice_chunks,
+                completed_cell_antidiagonals=self.grid.cell_antidiags_completed_by(
+                    min((k + 1) * s, total) - 1
+                ),
             )
-        return chunks
-
-    def slice_work(self, slice_index: int) -> SliceWork:
-        """Aggregate work record of one slice."""
-        chunks = self.slice_chunks(slice_index)
-        blocks = sum(c.blocks for c in chunks)
-        steps = sum(c.steps for c in chunks)
-        idle = sum(c.idle_block_slots for c in chunks)
-        lo, hi = self.slice_block_antidiag_range(slice_index)
-        completed = self.grid.cell_antidiags_completed_by(hi - 1) if hi > lo else 0
-        # Anti-diagonals spanned by the blocks of one slice: the window must
-        # cover slice_width * block_size plus the intra-block skew
-        # (block_size - 1 anti-diagonals of spill-over into the next rows).
-        window_rows = self.slice_width * self.grid.block_size + (
-            2 * (self.grid.block_size - 1)
-        )
-        return SliceWork(
-            slice_index=slice_index,
-            blocks=blocks,
-            steps=steps,
-            idle_block_slots=idle,
-            chunks=len(chunks),
-            completed_cell_antidiagonals=completed,
-            window_rows_required=window_rows,
-        )
+            for k, (slice_blocks, slice_steps, slice_idle, slice_chunks) in enumerate(table)
+        ]
 
     def all_slices(self) -> List[SliceWork]:
         """Work records of every slice of the full band."""
-        return [self.slice_work(k) for k in range(self.num_slices)]
+        return self._slice_table(self.num_slices)
 
     # ------------------------------------------------------------------
     def traversal(self) -> Iterator[tuple[int, int, int, int, tuple[int, int]]]:
         """Yield ``(slice, chunk, step, thread, (bi, bj))`` visit events.
 
-        Intended for the structural tests on small grids: the union of
-        visited blocks must equal the in-band block set, with no block
-        visited twice.
+        The block-by-block specification of the slice table: the
+        structural tests check on small grids that the union of visited
+        blocks equals the in-band block set, with no block visited twice,
+        and that the slice records aggregate these events.
         """
+        ranges = self.grid.in_band_col_ranges.tolist()
         for s in range(self.num_slices):
-            rows = self._slice_rows(s)
+            lo, hi = self.slice_block_antidiag_range(s)
+            rows: dict[int, List[int]] = {}
+            for bj, (c_lo, c_hi) in enumerate(ranges):
+                cols = [bi for bi in range(c_lo, c_hi + 1) if lo <= bi + bj < hi]
+                if cols:
+                    rows[bj] = cols
             row_ids = sorted(rows)
             for chunk_idx, k in enumerate(range(0, len(row_ids), self.threads)):
                 group = row_ids[k : k + self.threads]
@@ -232,8 +238,7 @@ class SlicedDiagonalSchedule:
         after ``cell_antidiagonals`` anti-diagonals (0 means "never")."""
         if cell_antidiagonals <= 0:
             return self.all_slices()
-        needed = self.slices_needed_for_antidiagonals(cell_antidiagonals)
-        return [self.slice_work(k) for k in range(needed)]
+        return self._slice_table(self.slices_needed_for_antidiagonals(cell_antidiagonals))
 
 
 class HorizontalChunkSchedule:
@@ -257,41 +262,41 @@ class HorizontalChunkSchedule:
             return 0
         return -(-self.grid.num_block_rows // self.threads)
 
+    def _pass_table(self, start: int, stop: int) -> List[SliceWork]:
+        """Work records of chunk passes ``start .. stop - 1``, reduced over
+        the grid's per-row block counts in one pass."""
+        per_row = self.grid.blocks_per_row[start * self.threads : stop * self.threads]
+        starts = np.arange(0, per_row.size, self.threads)
+        if starts.size == 0:
+            return []
+        blocks = np.add.reduceat(per_row, starts)
+        steps = np.maximum.reduceat(per_row, starts)
+        idle = steps * (np.concatenate((starts[1:], [per_row.size])) - starts) - blocks
+        geometry = self.grid.geometry
+        pass_rows = self.threads * self.grid.block_size
+        rows_done = [
+            min(geometry.query_len, (k + 1) * pass_rows) for k in range(start, start + starts.size)
+        ]
+        table = zip(blocks.tolist(), steps.tolist(), idle.tolist(), rows_done)
+        return [
+            SliceWork(
+                slice_index=k,
+                blocks=pass_blocks,
+                steps=pass_steps,
+                idle_block_slots=pass_idle,
+                chunks=1,
+                completed_cell_antidiagonals=geometry.completed_antidiagonals_after_rows(done),
+            )
+            for k, (pass_blocks, pass_steps, pass_idle, done) in enumerate(table, start)
+        ]
+
     def chunk_pass_work(self, pass_index: int) -> SliceWork:
         """Aggregate work of one chunk pass (full band width)."""
-        bj_lo = pass_index * self.threads
-        bj_hi = min(self.grid.num_block_rows, bj_lo + self.threads) - 1
-        per_row = [
-            max(0, hi - lo + 1)
-            for bj in range(bj_lo, bj_hi + 1)
-            for lo, hi in [self.grid.in_band_block_cols(bj)]
-        ]
-        blocks = sum(per_row)
-        steps = max(per_row) if per_row else 0
-        idle = steps * (bj_hi - bj_lo + 1) - blocks if per_row else 0
-        rows_done = min(self.grid.geometry.query_len, (bj_hi + 1) * self.grid.block_size)
-        completed = self.grid.geometry.completed_antidiagonals_after_rows(rows_done)
-        # The window must span every anti-diagonal that is still incomplete
-        # while this chunk is in flight: roughly the band width plus the
-        # chunk height in cells.
-        window_rows = (
-            (self.grid.geometry.band_width or self.grid.geometry.ref_len)
-            + self.threads * self.grid.block_size
-            + 2 * (self.grid.block_size - 1)
-        )
-        return SliceWork(
-            slice_index=pass_index,
-            blocks=blocks,
-            steps=steps,
-            idle_block_slots=idle,
-            chunks=1,
-            completed_cell_antidiagonals=completed,
-            window_rows_required=window_rows,
-        )
+        return self._pass_table(pass_index, pass_index + 1)[0]
 
     def all_slices(self) -> List[SliceWork]:
         """Work records of every chunk pass."""
-        return [self.chunk_pass_work(k) for k in range(self.num_chunk_passes)]
+        return self._pass_table(0, self.num_chunk_passes)
 
     def passes_needed_for_antidiagonals(self, cell_antidiagonals: int) -> int:
         """Chunk passes before the first ``cell_antidiagonals`` complete."""
@@ -305,5 +310,4 @@ class HorizontalChunkSchedule:
         """Chunk passes actually processed under chunk-granular termination."""
         if cell_antidiagonals <= 0:
             return self.all_slices()
-        needed = self.passes_needed_for_antidiagonals(cell_antidiagonals)
-        return [self.chunk_pass_work(k) for k in range(needed)]
+        return self._pass_table(0, self.passes_needed_for_antidiagonals(cell_antidiagonals))

@@ -37,6 +37,13 @@ class TestMembership:
             if grid.block_in_band(bi, bj)
         }
         assert actual == expected
+        assert grid.in_band_col_ranges.tolist() == [
+            list(grid.in_band_block_cols(bj)) for bj in range(grid.num_block_rows)
+        ]
+        per_antidiag = [0] * grid.num_block_antidiagonals
+        for bi, bj in expected:
+            per_antidiag[bi + bj] += 1
+        assert grid.blocks_per_block_antidiagonal.tolist() == per_antidiag
 
     def test_in_band_block_cols_consistent(self):
         grid = BlockGrid(BandGeometry(100, 90, 17), 8)

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from repro.align.banding import BandGeometry
 from repro.align.blocks import BlockGrid
-from repro.core.sliced_diagonal import HorizontalChunkSchedule, SlicedDiagonalSchedule
+from repro.core.sliced_diagonal import (
+    HorizontalChunkSchedule,
+    SlicedDiagonalSchedule,
+    SliceWork,
+)
 
 
 def in_band_blocks(grid):
@@ -16,6 +20,72 @@ def in_band_blocks(grid):
         for bi in range(lo, hi + 1):
             out.add((bi, bj))
     return out
+
+
+def slices_from_traversal(sched):
+    """Slice records aggregated from the traversal's visit events."""
+    chunk_steps = {}  # (slice, chunk) -> steps taken
+    chunk_threads = {}  # (slice, chunk) -> threads with a row
+    blocks = [0] * sched.num_slices
+    for s, chunk, step, thread, _ in sched.traversal():
+        blocks[s] += 1
+        chunk_steps[s, chunk] = max(chunk_steps.get((s, chunk), 0), step + 1)
+        chunk_threads[s, chunk] = max(chunk_threads.get((s, chunk), 0), thread + 1)
+    records = []
+    for s in range(sched.num_slices):
+        chunks = [key for key in chunk_steps if key[0] == s]
+        steps = sum(chunk_steps[key] for key in chunks)
+        slots = sum(chunk_steps[key] * chunk_threads[key] for key in chunks)
+        _, hi = sched.slice_block_antidiag_range(s)
+        records.append(
+            SliceWork(
+                slice_index=s,
+                blocks=blocks[s],
+                steps=steps,
+                idle_block_slots=slots - blocks[s],
+                chunks=len(chunks),
+                completed_cell_antidiagonals=sched.grid.cell_antidiags_completed_by(hi - 1),
+            )
+        )
+    return records
+
+
+def chunk_passes_brute_force(sched):
+    """Chunk-pass records from a per-row scan of ``in_band_block_cols``."""
+    grid = sched.grid
+    records = []
+    for k in range(sched.num_chunk_passes):
+        rows = range(k * sched.threads, min(grid.num_block_rows, (k + 1) * sched.threads))
+        per_row = []
+        for bj in rows:
+            lo, hi = grid.in_band_block_cols(bj)
+            per_row.append(max(0, hi - lo + 1))
+        rows_done = min(grid.geometry.query_len, rows[-1] * grid.block_size + grid.block_size)
+        records.append(
+            SliceWork(
+                slice_index=k,
+                blocks=sum(per_row),
+                steps=max(per_row),
+                idle_block_slots=max(per_row) * len(per_row) - sum(per_row),
+                chunks=1,
+                completed_cell_antidiagonals=grid.geometry.completed_antidiagonals_after_rows(
+                    rows_done
+                ),
+            )
+        )
+    return records
+
+
+# Geometries for the slice-table properties: band widths 0 (unbanded) to
+# 40, block sizes 1-8, and empty tables (a zero-length sequence).
+lengths = st.one_of(st.just(0), st.integers(1, 70))
+grids = st.builds(
+    lambda n, m, w, b: BlockGrid(BandGeometry(n, m, w), b),
+    lengths,
+    lengths,
+    st.integers(0, 40),
+    st.integers(1, 8),
+)
 
 
 class TestSlicedDiagonalCoverage:
@@ -70,6 +140,38 @@ class TestSlicedDiagonalTermination:
         grid = BlockGrid(BandGeometry(100, 100, 17), 8)
         sched = SlicedDiagonalSchedule(grid, 3, 4)
         assert len(sched.work_until_termination(0)) == sched.num_slices
+
+
+class TestSliceTable:
+    """The slice records equal aggregates of the block-by-block traversal."""
+
+    @given(grid=grids, threads=st.integers(1, 32), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_records_match_traversal(self, grid, threads, data):
+        slice_width = data.draw(st.integers(1, grid.num_block_antidiagonals + 2))
+        target = data.draw(st.integers(0, grid.geometry.num_antidiagonals + 3))
+        sched = SlicedDiagonalSchedule(grid, slice_width, threads)
+        expected = slices_from_traversal(sched)
+        assert sched.all_slices() == expected
+        needed = (
+            sched.num_slices if target <= 0 else sched.slices_needed_for_antidiagonals(target)
+        )
+        assert sched.work_until_termination(target) == expected[:needed]
+
+    @given(grid=grids, threads=st.integers(1, 32), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_passes_match_brute_force(self, grid, threads, data):
+        target = data.draw(st.integers(0, grid.geometry.num_antidiagonals + 3))
+        sched = HorizontalChunkSchedule(grid, threads)
+        expected = chunk_passes_brute_force(sched)
+        assert sched.all_slices() == expected
+        assert [sched.chunk_pass_work(k) for k in range(sched.num_chunk_passes)] == expected
+        needed = (
+            sched.num_chunk_passes
+            if target <= 0
+            else sched.passes_needed_for_antidiagonals(target)
+        )
+        assert sched.work_until_termination(target) == expected[:needed]
 
 
 class TestHorizontalChunkSchedule:
